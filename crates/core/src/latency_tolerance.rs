@@ -38,7 +38,7 @@ impl LatencySweep {
     /// Assembles a sweep from raw `(latency factor, IPC)` measurements,
     /// normalizing each point against the 1× factor's IPC. This is the one
     /// place that curve-to-tolerance assembly lives; every driver (the
-    /// per-figure harness, the `sweep` CLI) goes through it.
+    /// `sweep fig11` summary among them) goes through it.
     ///
     /// Returns `None` when no 1× point is present or its IPC is zero — the
     /// relative curve would be meaningless.

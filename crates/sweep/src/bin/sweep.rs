@@ -625,6 +625,13 @@ mod tests {
             ("trace-campaign", &[]),
             ("interconnect", &["--quick"]),
             ("interconnect", &["--quick", "--topology", "mesh"]),
+            ("table1", &[]),
+            ("table3", &[]),
+            ("fig2", &[]),
+            ("table4", &["--quick"]),
+            ("overheads", &["--quick"]),
+            ("fig3", &["--quick"]),
+            ("fig4", &["--quick"]),
             (
                 "interconnect",
                 &[

@@ -1,28 +1,29 @@
 //! Canonical campaign constructors — one per paper artifact.
 //!
-//! The `sweep` CLI, the `ltrf-bench` harness, and the regression tests must
+//! The `sweep` CLI, the campaign service, and the regression tests must
 //! agree — byte for byte — on what "the Figure 9 campaign" or "the power
-//! sweep" means: the golden-file tests pin the CLI's CSV output, the bench
-//! harness's figure functions must reproduce the CLI's numbers, and a bench
-//! run must warm-hit a cache the CLI populated (and vice versa). Keeping
-//! every spec constructor here makes that agreement structural rather than
-//! a convention: there is exactly one definition of each campaign in the
-//! workspace, and every entry point calls it.
+//! sweep" means: the golden-file tests pin the CLI's CSV output, and a
+//! service session must warm-hit a cache the CLI populated (and vice
+//! versa). Keeping every spec constructor here makes that agreement
+//! structural rather than a convention: there is exactly one definition of
+//! each campaign in the workspace, and every entry point calls it.
 //!
-//! | Constructor | Paper artifact | CLI entry point | Harness entry point |
-//! |---|---|---|---|
-//! | [`fig9_spec`] | Figure 9 (overall IPC) | `sweep fig9` | `fig9` binary |
-//! | [`fig10_spec`] | Figure 10 (RF power, config #7) | `sweep power` (the #7 slice) | `fig10` binary |
-//! | [`fig11_spec`] | Figure 11 (max tolerable latency) | `sweep fig11` | `fig11` binary |
-//! | [`fig12_spec`] | Figure 12 (interval-size sweep) | `sweep fig12` | `fig12` binary |
-//! | [`fig13_spec`] | Figure 13 (active-warp sweep) | `sweep fig13` | `fig13` binary |
-//! | [`fig14_spec`] | Figure 14 (scheme comparison) | `sweep fig14` | `fig14` binary |
-//! | [`table2_spec`] | Table 2 (design-point IPC) | `sweep table2` | `table2` binary |
-//! | [`power_sweep_spec`] | §6.4 power across all design points | `sweep power` | `fig10` binary (the #7 slice) |
-//! | [`gen_campaign_spec`] | beyond-paper generated populations | `sweep gen-campaign` | `gen_campaign` binary |
-//! | [`trace_campaign_spec`] | beyond-paper trace-driven workloads | `sweep trace-campaign` | `trace_campaign` binary |
-//! | [`interconnect_specs`] | beyond-paper SM↔L2 network study | `sweep interconnect` | `interconnect` binary |
-//! | [`repro_specs`] | the full artifact set | `sweep repro` | — |
+//! | Constructor | Paper artifact | CLI entry point |
+//! |---|---|---|
+//! | [`fig3_spec`] | Figure 3 (ideal vs. real 8× TFET-SRAM RF) | `sweep fig3` |
+//! | [`fig4_spec`] | Figure 4 (register-cache hit rates) | `sweep fig4` |
+//! | [`fig9_spec`] | Figure 9 (overall IPC) | `sweep fig9` |
+//! | [`fig10_spec`] | Figure 10 (RF power, config #7) | `sweep power` (the #7 slice) |
+//! | [`fig11_spec`] | Figure 11 (max tolerable latency) | `sweep fig11` |
+//! | [`fig12_spec`] | Figure 12 (interval-size sweep) | `sweep fig12` |
+//! | [`fig13_spec`] | Figure 13 (active-warp sweep) | `sweep fig13` |
+//! | [`fig14_spec`] | Figure 14 (scheme comparison) | `sweep fig14` |
+//! | [`table2_spec`] | Table 2 (design-point IPC) | `sweep table2` |
+//! | [`power_sweep_spec`] | §6.4 power across all design points | `sweep power` |
+//! | [`gen_campaign_spec`] | beyond-paper generated populations | `sweep gen-campaign` |
+//! | [`trace_campaign_spec`] | beyond-paper trace-driven workloads | `sweep trace-campaign` |
+//! | [`interconnect_specs`] | beyond-paper SM↔L2 network study | `sweep interconnect` |
+//! | [`repro_specs`] | the full artifact set | `sweep repro` |
 //!
 //! Cache identity is per *point*, not per campaign: a point's key material
 //! is its workload, memory selection, seeding/normalization policy, and full
@@ -30,8 +31,8 @@
 //! Campaigns that share points — `fig10_spec` is the configuration-#7 slice
 //! of [`power_sweep_spec`]; the quick fig9 matrix is a subset of the full
 //! one — therefore share cache entries, which is what makes a warm
-//! `sweep repro` rerun (and a bench rerun over a CLI-populated cache) hit
-//! 100%. See `REPRODUCING.md` for the artifact atlas.
+//! `sweep repro` rerun hit 100%. See `REPRODUCING.md` for the artifact
+//! atlas.
 
 use ltrf_core::Organization;
 use ltrf_sim::{InterconnectConfig, Topology};
@@ -68,6 +69,48 @@ pub fn campaign_name(base: &str, sm_count: usize) -> String {
     } else {
         format!("{base}-sm{sm_count}")
     }
+}
+
+/// The Figure 3 campaign: the ideal and the conventional (real-latency)
+/// register file × the given workloads on the 8× TFET-SRAM configuration
+/// #6, normalized — exactly what `sweep fig3` runs.
+#[must_use]
+pub fn fig3_spec<S: Into<String>>(
+    workloads: impl IntoIterator<Item = S>,
+    sm_count: usize,
+    seed_mode: SeedMode,
+) -> SweepSpec {
+    SweepSpec::builder(campaign_name("fig3", sm_count))
+        .workloads(workloads)
+        .organizations([Organization::Ideal, Organization::Baseline])
+        .config_ids([6])
+        .sm_counts([sm_count])
+        .seed_mode(seed_mode)
+        .normalize(true)
+        .build()
+}
+
+/// The register-caching schemes whose cache hit rates Figure 4 compares.
+pub const FIG4_ORGS: [Organization; 3] =
+    [Organization::Rfc, Organization::Shrf, Organization::Ltrf];
+
+/// The Figure 4 campaign: [`FIG4_ORGS`] × the given workloads on the
+/// baseline configuration #1, un-normalized (only the cache hit rates are
+/// read) — exactly what `sweep fig4` runs.
+#[must_use]
+pub fn fig4_spec<S: Into<String>>(
+    workloads: impl IntoIterator<Item = S>,
+    sm_count: usize,
+    seed_mode: SeedMode,
+) -> SweepSpec {
+    SweepSpec::builder(campaign_name("fig4", sm_count))
+        .workloads(workloads)
+        .organizations(FIG4_ORGS)
+        .config_ids([1])
+        .sm_counts([sm_count])
+        .seed_mode(seed_mode)
+        .normalize(false)
+        .build()
 }
 
 /// The Figure 9 campaign: [`FIG9_ORGS`] × the given workloads on
@@ -149,7 +192,7 @@ fn latency_matrix<S: Into<String>>(
 
 /// The Figure 11 campaign: [`FIG11_ORGS`] × the given workloads × the
 /// paper's latency factors on configuration #1 — exactly what `sweep fig11`
-/// runs and what `ltrf-bench`'s `figure11` rows are derived from.
+/// runs.
 #[must_use]
 pub fn fig11_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -169,7 +212,7 @@ pub fn fig11_spec<S: Into<String>>(
 /// The Figure 12 campaign: LTRF × the given workloads × the paper's latency
 /// factors × [`FIG12_INTERVAL_SIZES`] registers per register-interval —
 /// exactly what `sweep fig12` runs (and what the golden-file regression
-/// test pins), and what `ltrf-bench`'s `figure12` series are derived from.
+/// test pins).
 #[must_use]
 pub fn fig12_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -189,7 +232,7 @@ pub fn fig12_spec<S: Into<String>>(
 
 /// The Figure 13 campaign: LTRF × the given workloads × the paper's latency
 /// factors × [`FIG13_WARP_COUNTS`] active warps — exactly what `sweep
-/// fig13` runs and what `ltrf-bench`'s `figure13` series are derived from.
+/// fig13` runs.
 #[must_use]
 pub fn fig13_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -209,7 +252,7 @@ pub fn fig13_spec<S: Into<String>>(
 
 /// The Figure 14 campaign: [`FIG14_ORGS`] × the given workloads × the
 /// paper's latency factors on configuration #1 — exactly what `sweep fig14`
-/// runs and what `ltrf-bench`'s `figure14` series are derived from.
+/// runs.
 #[must_use]
 pub fn fig14_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -246,10 +289,9 @@ pub fn table2_spec<S: Into<String>>(
 }
 
 /// The Figure 10 campaign: [`POWER_ORGS`] × the given workloads on the DWM
-/// configuration #7, normalized — the paper's register-file power figure,
-/// and what `ltrf-bench`'s `figure10` rows are derived from. Its points are
-/// the configuration-#7 slice of [`power_sweep_spec`] (at the default
-/// calibration), so the two campaigns share cache entries.
+/// configuration #7, normalized — the paper's register-file power figure.
+/// Its points are the configuration-#7 slice of [`power_sweep_spec`] (at
+/// the default calibration), so the two campaigns share cache entries.
 #[must_use]
 pub fn fig10_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -338,8 +380,7 @@ pub fn repro_specs<S: Into<String> + Clone>(
 
 /// The GPU-scaling campaign: BL and LTRF × the given workloads on
 /// configuration #6 across an SM-count axis, normalized, grids weak-scaled
-/// — exactly what `sweep gpu-scale` runs and what `ltrf-bench`'s
-/// `gpu_scale` rows aggregate.
+/// — exactly what `sweep gpu-scale` runs.
 #[must_use]
 pub fn gpu_scale_spec<S: Into<String>>(
     workloads: impl IntoIterator<Item = S>,
@@ -413,8 +454,7 @@ impl GenCampaignParams {
 }
 
 /// A generated-workload campaign: [`GEN_CAMPAIGN_ORGS`] × the population on
-/// configuration #6, normalized — exactly what `sweep gen-campaign` runs and
-/// what `ltrf-bench`'s `gen_campaign` experiment aggregates.
+/// configuration #6, normalized — exactly what `sweep gen-campaign` runs.
 ///
 /// # Panics
 ///
@@ -479,8 +519,7 @@ impl TraceCampaignParams {
 
 /// A trace-driven campaign: [`GEN_CAMPAIGN_ORGS`] (the paper's headline
 /// BL/LTRF pair) × the lowered trace workloads on configuration #6,
-/// normalized — exactly what `sweep trace-campaign` runs and what
-/// `ltrf-bench`'s `trace_campaign` experiment aggregates.
+/// normalized — exactly what `sweep trace-campaign` runs.
 ///
 /// # Panics
 ///
@@ -563,10 +602,9 @@ impl InterconnectCampaignParams {
 
 /// The interconnect-topology campaign: LTRF × the given workloads on
 /// configuration #6 across the SM-count axis, un-normalized, one spec per
-/// selected topology — exactly what `sweep interconnect` runs and what
-/// `ltrf-bench`'s `interconnect` experiment aggregates. Single-SM points
-/// never touch the shared network and serve as the contention-free floor of
-/// every topology's curve.
+/// selected topology — exactly what `sweep interconnect` runs. Single-SM
+/// points never touch the shared network and serve as the contention-free
+/// floor of every topology's curve.
 ///
 /// The ideal-topology spec at the default link provisioning carries the
 /// default [`InterconnectConfig`], which is elided from cache-key material —
@@ -712,6 +750,40 @@ mod tests {
         let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
         assert_eq!(unique.len(), names.len());
         assert!(specs.iter().all(|s| !s.points.is_empty()));
+    }
+
+    #[test]
+    fn fig3_and_fig4_specs_keep_their_point_identities() {
+        // The axes Figures 3 and 4 have always been built with, spelled out
+        // inline: caches populated before the constructors existed keep
+        // hitting.
+        let workloads = ["hotspot", "btree"];
+        let seed = SeedMode::Fixed(CAMPAIGN_SEED);
+        let materials = |spec: &SweepSpec| -> Vec<String> {
+            spec.points
+                .iter()
+                .map(|p| crate::cache::point_key(spec, p).material)
+                .collect()
+        };
+        let fig3 = SweepSpec::builder("fig3")
+            .workloads(workloads)
+            .seed_mode(seed)
+            .organizations([Organization::Ideal, Organization::Baseline])
+            .config_ids([6])
+            .normalize(true)
+            .build();
+        assert_eq!(fig3_spec(workloads, 1, seed), fig3);
+        assert_eq!(materials(&fig3_spec(workloads, 1, seed)), materials(&fig3));
+        let fig4 = SweepSpec::builder("fig4")
+            .workloads(workloads)
+            .seed_mode(seed)
+            .organizations([Organization::Rfc, Organization::Shrf, Organization::Ltrf])
+            .config_ids([1])
+            .normalize(false)
+            .build();
+        assert_eq!(fig4_spec(workloads, 1, seed), fig4);
+        assert_eq!(materials(&fig4_spec(workloads, 1, seed)), materials(&fig4));
+        assert_eq!(fig4_spec(workloads, 4, seed).name, "fig4-sm4");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! when a cache is attached — outcomes are served from and stored to the
 //! content-addressed [`ResultCache`]. While the session runs it emits a
 //! typed [`CampaignEvent`] stream to a [`CampaignObserver`] (the `sweep`
-//! CLI's progress printing — human or `--progress json` — and the bench
-//! harness's failure reporting both ride this stream); the batch
+//! CLI's progress printing — human or `--progress json` — and the campaign
+//! service's replayable session logs both ride this stream); the batch
 //! [`run_sweep`] call is a thin unobserved wrapper kept for callers that
 //! only want the final [`SweepResults`].
 //!
@@ -163,8 +163,8 @@ impl SweepResults {
 }
 
 /// Mean metrics over a set of successful points — the aggregation behind
-/// the GPU-scaling summaries (the `sweep gpu-scale` table and
-/// `ltrf-bench`'s `gpu_scale` rows share this so the two cannot drift).
+/// the GPU-scaling, generated-population, trace and interconnect summary
+/// tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointMeans {
     /// Number of points aggregated.
@@ -188,36 +188,6 @@ pub struct PointMeans {
 }
 
 impl PointMeans {
-    /// The GPU-scaling pivot: means per `(sm_count, organization)` cell, in
-    /// the given axis order, skipping empty cells. Both the `sweep
-    /// gpu-scale` summary table and `ltrf-bench`'s `gpu_scale` rows are
-    /// this call, so the grouping logic cannot drift between them.
-    #[must_use]
-    pub fn grouped(
-        results: &SweepResults,
-        sm_counts: &[usize],
-        organizations: &[ltrf_core::Organization],
-    ) -> Vec<(usize, ltrf_core::Organization, PointMeans)> {
-        let mut cells = Vec::new();
-        for &sm_count in sm_counts {
-            for &org in organizations {
-                let means = PointMeans::over(
-                    results
-                        .successes()
-                        .filter(|(r, _)| {
-                            r.point.config.sm_count == sm_count
-                                && r.point.config.organization == org
-                        })
-                        .map(|(_, d)| d),
-                );
-                if let Some(means) = means {
-                    cells.push((sm_count, org, means));
-                }
-            }
-        }
-        cells
-    }
-
     /// Averages the given points; `None` when the iterator is empty.
     pub fn over<'a>(points: impl IntoIterator<Item = &'a PointData>) -> Option<Self> {
         let mut acc = PointMeansAcc::default();
@@ -284,10 +254,8 @@ impl PointMeansAcc {
 
 /// Mean IPC relative to each workload's own 1× point, per latency factor,
 /// over the successful points selected by `select` — the canonical
-/// aggregation behind the Figure 12/13/14 latency-sweep summaries. The
-/// `sweep` CLI's fig12/13/14 tables and `ltrf-bench`'s `SweepSeries` rows
-/// are both this call, so the relative-IPC convention cannot drift between
-/// the two entry points.
+/// aggregation behind the `sweep fig12|fig13|fig14` latency-sweep summary
+/// tables.
 ///
 /// A workload contributes only a *complete* curve: if its 1× reference is
 /// missing or non-positive, or any factor's point is absent, the whole
@@ -1261,19 +1229,6 @@ fn evaluate_point(
         Ok(Err(core_err)) => PointOutcome::Error(core_err.to_string()),
         Err(payload) => PointOutcome::Panicked(panic_message(payload)),
     }
-}
-
-/// Order-preserving parallel map over arbitrary items with panic isolation:
-/// the engine's raw primitive, re-exported for harness code (the per-figure
-/// experiment functions in `ltrf-bench`) that parallelizes shapes a
-/// cross-product spec does not express.
-pub fn parallel_points<T, R, F>(items: &[T], threads: Option<usize>, f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map(items, threads, |_, item| f(item))
 }
 
 #[cfg(test)]

@@ -30,8 +30,10 @@
 //!   recomputes changed points;
 //! * [`report`] renders campaigns as JSON and CSV (including the absolute
 //!   power/energy columns behind the power artifacts), and the `sweep`
-//!   binary reproduces *every* simulation-backed paper artifact end-to-end:
-//!   Figures 9 and 11–14, Table 2, and the power sweep (`sweep power`, with
+//!   binary reproduces *every* paper artifact end-to-end: the analytical
+//!   Tables 1, 3 and 4, Figure 2 and the §4.3 overheads, and the
+//!   simulation-backed Figures 3, 4, 9 and 11–14, Table 2, and the power
+//!   sweep (`sweep power`, with
 //!   `--access-energy-pj`/`--leakage-mw-per-kb`/`--dwm-write-penalty`
 //!   calibration knobs; Figure 10 is its configuration-#7 slice) — each at
 //!   an arbitrary SM count via `--sm-count` — plus `sweep repro`, which
@@ -50,10 +52,10 @@
 //!   definition per paper artifact — and [`api`] wraps them in the campaign
 //!   registry: typed [`Campaign`] definitions (name/aliases, parameter
 //!   schema, artifact kind, summary renderer) that the CLI *generates* its
-//!   subcommands, `--help` text, and flag scoping from, that the bench
-//!   harness (which attaches this engine's cache when `LTRF_CACHE_DIR` is
-//!   set) dispatches through, and that the registry/golden/differential
-//!   regression tests pin against `REPRODUCING.md`.
+//!   subcommands, `--help` text, and flag scoping from, that the campaign
+//!   service validates submits against, and that the
+//!   registry/golden/differential regression tests pin against
+//!   `REPRODUCING.md`.
 //!
 //! * [`serve`] turns the engine into a long-lived campaign service:
 //!   `sweep serve` daemonizes a line-delimited JSON protocol over TCP
@@ -66,9 +68,6 @@
 //!
 //! `REPRODUCING.md` at the repository root maps every artifact to its
 //! command, runtime, CSV schema, and cache behaviour.
-//!
-//! The per-figure harness in `ltrf-bench` drives its parallelism through
-//! [`parallel_points`], so every `fig*`/`table*` binary rides this engine.
 //!
 //! ```
 //! use ltrf_sweep::{run_sweep, ExecutorOptions, SweepSpec};
@@ -100,7 +99,7 @@ pub mod spec;
 pub mod stream;
 
 /// The fixed campaign seed shared by every driver of the engine (the
-/// per-figure harness in `ltrf-bench` and the `sweep` CLI), so their cached
+/// `sweep` CLI, the campaign service and the benchmark), so their cached
 /// points are interchangeable. There is deliberately exactly one copy of
 /// this literal in the workspace.
 pub const CAMPAIGN_SEED: u64 = 0x17F2_2018;
@@ -109,10 +108,10 @@ pub use api::{registry, ArtifactKind, Campaign, CampaignParams, CampaignRegistry
 pub use cache::{point_key, PointKey, ResultCache, CACHE_SCHEMA_VERSION, ENGINE_FINGERPRINT};
 pub use campaigns::{GenCampaignParams, InterconnectCampaignParams, TraceCampaignParams};
 pub use executor::{
-    event_channel, parallel_points, relative_ipc_series, run_sweep, CampaignEvent,
-    CampaignObserver, CampaignSession, CampaignTotals, EventLog, EventSender, ExecutorOptions,
-    FanoutSink, PointClaim, PointCoordinator, PointData, PointMeans, PointMeansAcc, PointOutcome,
-    PointRecord, RecordSink, SweepResults, Unobserved,
+    event_channel, relative_ipc_series, run_sweep, CampaignEvent, CampaignObserver,
+    CampaignSession, CampaignTotals, EventLog, EventSender, ExecutorOptions, FanoutSink,
+    PointClaim, PointCoordinator, PointData, PointMeans, PointMeansAcc, PointOutcome, PointRecord,
+    RecordSink, SweepResults, Unobserved,
 };
 pub use journal::{CampaignJournal, CompletedPoint, JournalSnapshot};
 pub use ltrf_trace::{LoweringBounds, TraceWorkloadId};

@@ -520,6 +520,22 @@ pub fn validate_submit(
     Ok((campaign, parsed))
 }
 
+/// Builds a validated submit's specs. An analytical campaign (one whose
+/// `build` returns no specs, such as `table1`) has nothing for a session to
+/// run, so the submit is rejected with a pointer to the CLI command that
+/// prints it.
+fn submit_specs(campaign: &Campaign, params: &CampaignParams) -> Result<Vec<SweepSpec>, String> {
+    let specs = campaign.specs(params)?;
+    if specs.is_empty() {
+        return Err(format!(
+            "campaign `{}` is analytical and runs no simulation points; \
+             print it with `sweep {}`",
+            campaign.name, campaign.name
+        ));
+    }
+    Ok(specs)
+}
+
 fn response(ok: bool, fields: Vec<(&str, Value)>) -> String {
     let mut pairs = vec![("ok".to_string(), Value::Bool(ok))];
     pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
@@ -852,7 +868,7 @@ fn submit(
     params: &[(String, Value)],
 ) -> Result<Arc<Session>, String> {
     let (campaign, parsed) = validate_submit(campaign, params)?;
-    let specs = campaign.specs(&parsed)?;
+    let specs = submit_specs(campaign, &parsed)?;
     let id = format!("s-{}", state.next_session.fetch_add(1, Ordering::SeqCst));
     let session = Arc::new(Session::new(
         id,
@@ -1293,6 +1309,24 @@ mod tests {
         )
         .unwrap_err();
         assert!(!err.is_empty());
+    }
+
+    #[test]
+    fn analytical_submits_are_rejected_with_the_cli_command() {
+        for name in ["table1", "fig2", "table3", "table4", "overheads"] {
+            let (campaign, params) = validate_submit(name, &[]).unwrap();
+            let err = submit_specs(campaign, &params).unwrap_err();
+            assert!(err.contains(&format!("`sweep {name}`")), "{err}");
+        }
+        // `--quick` is in scope for the suite-reading tables, but the
+        // submit is still refused: there is nothing to run.
+        let (campaign, params) =
+            validate_submit("table4", &[("quick".to_string(), Value::Bool(true))]).unwrap();
+        assert!(submit_specs(campaign, &params).is_err());
+        // Simulation-backed campaigns build their specs as before.
+        let (campaign, params) =
+            validate_submit("fig3", &[("quick".to_string(), Value::Bool(true))]).unwrap();
+        assert_eq!(submit_specs(campaign, &params).unwrap().len(), 1);
     }
 
     // -- bounded request reader --------------------------------------------

@@ -54,9 +54,8 @@ impl MemorySelection {
 /// How per-point simulation seeds are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SeedMode {
-    /// Every point runs with exactly this seed (the historical behaviour of
-    /// the per-figure harness functions, which compare organizations on
-    /// identical dynamic traces).
+    /// Every point runs with exactly this seed (the paper artifacts'
+    /// default, which compares organizations on identical dynamic traces).
     Fixed(u64),
     /// Each point's seed is derived from the base seed and the point's
     /// content digest, so points are decorrelated but still reproducible.

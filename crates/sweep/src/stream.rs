@@ -222,9 +222,7 @@ impl RunningAggregates {
 
     /// The GPU-scaling pivot over the folded points: means per
     /// `(sm_count, organization)` cell in the given axis order, skipping
-    /// empty cells — the same table as
-    /// [`PointMeans::grouped`](crate::PointMeans::grouped) over retained
-    /// results.
+    /// empty cells.
     #[must_use]
     pub fn means(
         &self,
