@@ -89,6 +89,8 @@ pub mod api;
 pub mod cache;
 pub mod campaigns;
 pub mod executor;
+#[cfg(test)]
+mod experiments;
 pub mod hash;
 pub mod journal;
 pub mod packed;

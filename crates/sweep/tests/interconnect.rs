@@ -79,15 +79,6 @@ fn warm_reruns_hit_and_topology_changes_miss() {
     assert_eq!(ideal_cold.cached_count(), 0);
     let ideal_warm = run_sweep(ideal, &options);
     assert_eq!(ideal_warm.cached_count(), ideal_warm.len());
-    // The ideal network is latency-free at every SM count.
-    for (record, data) in ideal_cold.successes() {
-        assert_eq!(
-            data.result.stats.memory.noc.mean_latency(),
-            0.0,
-            "ideal topology at {} SMs",
-            record.point.config.sm_count
-        );
-    }
 
     let _ = std::fs::remove_dir_all(&cache);
 }
