@@ -9,7 +9,9 @@
 //! organization at 1, 4, and 16 SMs, under both engines, with the timing-
 //! and contention-sensitive counters (IPC, cycles, instructions, L2
 //! hits/misses, slice queue wait, DRAM traffic) recorded with exact `f64`
-//! round-trip formatting.
+//! round-trip formatting, plus the per-SM schedule counters (idle visits,
+//! warp activations, PREFETCH stall cycles, MSHR stalls) that a change to
+//! the lock-step driver's visiting order would move.
 //!
 //! The committed fixture was blessed on the pre-interconnect tree, so a pass
 //! here is a proof of bit-identity across the refactor, not a tautology.
@@ -22,7 +24,7 @@
 use std::path::PathBuf;
 
 use ltrf_core::{run_experiment_via_gpu_with_engine, ExperimentConfig, Organization};
-use ltrf_sim::EngineKind;
+use ltrf_sim::{EngineKind, GpuStats, SimStats};
 use ltrf_workloads::{GeneratorConfig, WorkloadGenerator};
 use serde::Value;
 
@@ -54,6 +56,14 @@ fn engine_label(kind: EngineKind) -> &'static str {
         EngineKind::Fast => "fast",
         EngineKind::Reference => "reference",
     }
+}
+
+/// One per-SM counter as a JSON array in SM order. These pin the
+/// schedule itself (which cycles each SM visits and idles, when it
+/// activates warps), not just its end result.
+fn per_sm(gpu: &GpuStats, key: &str, field: impl Fn(&SimStats) -> u64) -> (String, Value) {
+    let values = gpu.per_sm.iter().map(|sm| Value::UInt(field(sm))).collect();
+    (key.to_string(), Value::Array(values))
 }
 
 /// Runs the full grid and renders one canonical-JSON line per case, in a
@@ -99,6 +109,10 @@ fn observed_lines() -> Vec<String> {
                             "dram_queue_wait_cycles".to_string(),
                             Value::UInt(gpu.dram.queue_wait_cycles),
                         ),
+                        per_sm(gpu, "idle_cycles", |sm| sm.idle_cycles),
+                        per_sm(gpu, "warp_activations", |sm| sm.warp_activations),
+                        per_sm(gpu, "prefetch_stall_cycles", |sm| sm.prefetch_stall_cycles),
+                        per_sm(gpu, "mshr_stalls", |sm| sm.memory.mshr_stalls),
                     ];
                     lines.push(Value::Object(fields).to_json());
                 }
