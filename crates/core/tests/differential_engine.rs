@@ -12,8 +12,17 @@
 //! * all six register-file organizations,
 //! * SM counts {1, 4, 16} (single-SM path, and the lock-step GPU over a
 //!   shared L2/DRAM at two scales),
-//! * a 32-member generated workload population, and
+//! * a 32-member generated workload population, plus collector-bound
+//!   single-SM runs of the baseline on configuration #6, and
 //! * the three checked-in `examples/traces/` workloads.
+//!
+//! The reference engine polls every cycle a blocked warp waits, and never
+//! lets an SM sleep; the fast engine skips those visits and credits them in
+//! batches. Equality here therefore pins the batched credit (per-SM
+//! `idle_cycles`) to the polling schedule. The lock-step edge cases
+//! (MSHR-bound SMs, a straggler SM, a truncated dense stretch) are pinned
+//! by the unit test `fast_gpu_matches_reference_gpu_bit_for_bit` in
+//! `ltrf-sim`'s `gpu` module.
 
 use ltrf_core::{
     run_experiment_with_engine, EngineKind, ExperimentConfig, Organization, RunResult,
@@ -82,6 +91,14 @@ fn fast_engine_is_bit_identical_across_generated_population() {
         let seed = 1000 + i as u64;
         let label = format!("member {i} ({}, {org}, {sm_count} SMs)", workload.name());
         assert_engines_agree(workload, &config, seed, &label);
+    }
+    // The baseline on configuration #6: its slow main register file keeps
+    // every operand collector busy, so ready warps wait on collectors and
+    // the fast engine batches the visits the reference engine polls.
+    for (i, workload) in population.iter().take(4).enumerate() {
+        let config = ExperimentConfig::for_table2(Organization::Baseline, 6);
+        let label = format!("collector-bound member {i} (BL #6, 1 SM)");
+        assert_engines_agree(workload, &config, 3000 + i as u64, &label);
     }
 }
 

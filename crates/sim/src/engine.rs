@@ -31,7 +31,7 @@
 use ltrf_isa::{Kernel, Opcode, OpcodeClass};
 
 use crate::config::SmConfig;
-use crate::driver::{self, SmEngine};
+use crate::driver::{self, Horizon, SmEngine};
 use crate::fast::FastEngine;
 use crate::memory::{AddressGenerator, MemoryBehavior, MemoryHierarchy};
 use crate::regfile::RegisterFileModel;
@@ -378,8 +378,8 @@ impl<'a> SmEngine<'a> for Engine<'a> {
         self.finished >= self.warps.len()
     }
 
-    fn note_idle(&mut self) {
-        self.stats.idle_cycles += 1;
+    fn note_idle(&mut self, visits: Cycle) {
+        self.stats.idle_cycles += visits;
     }
 
     fn issue_cycle(&mut self, cycle: Cycle) -> usize {
@@ -418,7 +418,7 @@ impl<'a> SmEngine<'a> for Engine<'a> {
         }
     }
 
-    fn next_event_after(&mut self, cycle: Cycle) -> Cycle {
+    fn next_event_after(&mut self, cycle: Cycle) -> Horizon {
         let mut next = Cycle::MAX;
         for (idx, warp) in self.warps.iter().enumerate() {
             let id = WarpId(idx as u32);
@@ -441,10 +441,11 @@ impl<'a> SmEngine<'a> for Engine<'a> {
                 next = next.min(busy);
             }
         }
-        if next == Cycle::MAX {
-            cycle + 1
-        } else {
-            next
+        // The oracle polls: it never sleeps, so the drivers step it at every
+        // visited cycle exactly as the polling schedule does.
+        Horizon {
+            next: if next == Cycle::MAX { cycle + 1 } else { next },
+            wake: cycle + 1,
         }
     }
 
@@ -793,10 +794,10 @@ mod tests {
         engine.active.push(WarpId(0));
         // Warp 1 became eligible at cycle 5 but the pool is full: the next
         // *time* event is warp 0's stall resolving, not cycle 10 + 1.
-        assert_eq!(engine.next_event_after(10), 100);
+        assert_eq!(engine.next_event_after(10).next, 100);
         // A strictly-future wakeup does bound the jump.
         engine.warps[1].status = WarpStatus::InactiveUntil(40);
-        assert_eq!(engine.next_event_after(10), 40);
+        assert_eq!(engine.next_event_after(10).next, 40);
     }
 
     #[test]

@@ -25,6 +25,12 @@
 //!   instead of scanning all warps, and never-started warps are a cursor
 //!   into the warp array (warps start `Pending` in index order and never
 //!   return to it). Both reproduce the reference activation order exactly.
+//! * **Exact horizons.** Besides the polling schedule's next visit,
+//!   `next_event_after` reports how long the SM stays idle: past the
+//!   `cycle + 1` fallback of a ready warp blocked on a collector or an MSHR,
+//!   to the next collector drain or outstanding-request completion. The
+//!   drivers use it to put the SM to sleep and to credit the skipped polling
+//!   visits in one batch.
 //! * **Reused scratch buffers.** The per-cycle active-pool snapshot is a
 //!   pre-sized buffer refilled in place; no per-cycle `Vec` allocation.
 //!
@@ -35,7 +41,7 @@ use ltrf_isa::trace::BranchRng;
 use ltrf_isa::{ArchReg, BlockId, BranchBehavior, Kernel, Opcode, OpcodeClass, RegSet, Terminator};
 
 use crate::config::SmConfig;
-use crate::driver::SmEngine;
+use crate::driver::{Horizon, SmEngine};
 use crate::engine::SimWorkload;
 use crate::memory::{AddressGenerator, MemoryHierarchy};
 use crate::regfile::RegisterFileModel;
@@ -438,8 +444,8 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
         self.finished >= self.status.len()
     }
 
-    fn note_idle(&mut self) {
-        self.stats.idle_cycles += 1;
+    fn note_idle(&mut self, visits: Cycle) {
+        self.stats.idle_cycles += visits;
     }
 
     fn issue_cycle(&mut self, cycle: Cycle) -> usize {
@@ -482,33 +488,52 @@ impl<'a> SmEngine<'a> for FastEngine<'a> {
         }
     }
 
-    fn next_event_after(&mut self, cycle: Cycle) -> Cycle {
-        let mut next = Cycle::MAX;
+    fn next_event_after(&mut self, cycle: Cycle) -> Horizon {
+        let mut event = Cycle::MAX;
+        // Every active warp was tried this cycle. One still `Ready` was
+        // refused a collector or an MSHR, and the polling schedule re-checks
+        // it every cycle; so it does for a never-started warp.
+        let mut ready = false;
         for &id in &self.active {
             match self.status[id.index()] {
-                WarpStatus::StalledUntil(t) if t > cycle => next = next.min(t),
-                // A ready active warp could not issue this cycle only due to
-                // collectors or MSHRs; re-check next cycle.
-                WarpStatus::Ready => next = next.min(cycle + 1),
+                WarpStatus::StalledUntil(t) if t > cycle => event = event.min(t),
+                WarpStatus::Ready => ready = true,
                 _ => {}
             }
         }
-        if self.pending_cursor < self.status.len() {
-            next = next.min(cycle + 1);
-        }
         if let Some(t) = self.wakeups.next_wake_after(cycle) {
-            next = next.min(t);
+            event = event.min(t);
         }
+        let mut collector_free = false;
         for &busy in &self.collectors {
             if busy > cycle {
-                next = next.min(busy);
+                event = event.min(busy);
+            } else {
+                collector_free = true;
             }
         }
-        if next == Cycle::MAX {
+        let pending = self.pending_cursor < self.status.len();
+        let polls = ready || pending;
+        let next = if polls || event == Cycle::MAX {
             cycle + 1
         } else {
-            next
+            event
+        };
+        let admits = self.active.len() < self.config.active_warps
+            && (pending || self.wakeups.has_eligible());
+        if admits || !polls {
+            // A refill at the next visit promotes a warp; or nothing polls.
+            let wake = if admits { cycle + 1 } else { next };
+            return Horizon { next, wake };
         }
+        // Collectors only drain at their events. With one free, the ready
+        // warps were refused an MSHR, which frees when a request completes.
+        if ready && collector_free {
+            if let Some(done) = self.memory.next_completion_after(cycle) {
+                event = event.min(done);
+            }
+        }
+        Horizon { next, wake: event }
     }
 
     fn finalize(mut self, cycle: Cycle) -> SimStats {
@@ -560,7 +585,7 @@ mod tests {
         engine.status[1] = WarpStatus::InactiveUntil(5);
         engine.active.push(WarpId(0));
         engine.wakeups.push(5, WarpId(1));
-        assert_eq!(engine.next_event_after(10), 100);
+        assert_eq!(engine.next_event_after(10).next, 100);
         // The due warp is preserved and still activates when a slot opens.
         engine.active.clear();
         assert_eq!(engine.pick_activation_candidate(10), Some(WarpId(1)));

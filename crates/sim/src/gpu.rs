@@ -14,9 +14,12 @@
 //!   GDDR5 channel model, so SMs queue against each other for L2 tag
 //!   bandwidth, DRAM banks, and channel buses;
 //! * the SMs execute in **lock-step** on one thread (the sweep engine
-//!   parallelizes across campaign points), with idle-period fast-forwarding
-//!   to the earliest next event across all SMs, so a run is deterministic
-//!   for a given seed and configuration;
+//!   parallelizes across campaign points), so a run is deterministic for a
+//!   given seed and configuration. At each visited cycle the awake SMs
+//!   issue in SM-index order; an SM whose step was idle sleeps until its own
+//!   event horizon and is credited the idle visits it slept through, and a
+//!   cycle in which no SM issues fast-forwards to the earliest event of any
+//!   SM (see `driver.rs` for the exact schedule);
 //! * results aggregate into [`GpuStats`]: per-SM pipeline statistics and
 //!   IPC, shared-L2 hit rate, and DRAM row-buffer/queueing behaviour.
 //!
@@ -420,6 +423,28 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A compute-bound kernel: a loop of independent ALU instructions, each
+    /// reading two registers, that keeps every SM issuing nearly every cycle
+    /// (and its operand collectors busy when the register file is slow).
+    fn dense_kernel(warps_per_block: u32, blocks: u32) -> Kernel {
+        let mut b = KernelBuilder::new("gpu-dense", 16);
+        let entry = b.entry_block();
+        let body = b.add_block();
+        let exit = b.add_block();
+        let r = ArchReg::new;
+        for i in 0..8 {
+            b.push(entry, Opcode::Mov, Some(r(i)), &[]);
+        }
+        b.jump(entry, body);
+        for i in 0..8 {
+            b.push(body, Opcode::IAlu, Some(r(8 + i)), &[r(i), r((i + 1) % 8)]);
+        }
+        b.loop_branch(body, body, exit, 64);
+        b.exit(exit);
+        b.launch(LaunchConfig::new(warps_per_block, blocks, 0));
+        b.build().unwrap()
+    }
+
     fn regfiles(n: usize, config: &SmConfig) -> Vec<Box<dyn RegisterFileModel>> {
         (0..n)
             .map(|_| {
@@ -479,31 +504,96 @@ mod tests {
         assert_eq!(gpu.instructions, single.instructions);
     }
 
-    /// The multi-SM lock-step schedule (SMs issue in index order at every
-    /// visited cycle, global fast-forward to the earliest next event) must
-    /// produce bit-identical `GpuStats` from both engines — including the
-    /// shared L2/DRAM counters, which observe the cross-SM request
-    /// interleaving and would diverge on any ordering slip.
+    /// The multi-SM lock-step schedule (awake SMs issue in index order at
+    /// every visited cycle, sleeping SMs credited lazily, global jumps to the
+    /// earliest event) must produce bit-identical `GpuStats` from both
+    /// engines — including the per-SM idle visits and the shared L2/DRAM
+    /// counters, which observe the cross-SM request interleaving and would
+    /// diverge on any ordering slip. The reference engine never sleeps or
+    /// skips a polling visit, so the edge cases below pin the fast engine's
+    /// batched credit against plain polling where it is easiest to get
+    /// wrong.
     #[test]
     fn fast_gpu_matches_reference_gpu_bit_for_bit() {
-        for (blocks, sm_count, seed) in [(8, 4, 42), (16, 2, 7), (4, 4, 0xC0FFEE)] {
-            let kernel = memory_kernel(4, blocks);
+        let with_sm = |sm_count, edit: fn(&mut SmConfig)| {
+            let mut config = gpu_config(sm_count);
+            edit(&mut config.sm);
+            config
+        };
+        let mshr_bound: fn(&mut SmConfig) = |sm| sm.memory.max_outstanding_requests = 2;
+        let slow_mrf: fn(&mut SmConfig) = |sm| *sm = sm.with_mrf_latency_factor(16.0);
+        let capped: fn(&mut SmConfig) = |sm| sm.max_cycles = 1_000;
+        let (memory, dense) = (memory_kernel, dense_kernel);
+        let cases = [
+            ("4 SMs", memory(4, 8), gpu_config(4), 42),
+            ("2 SMs", memory(4, 16), gpu_config(2), 7),
+            ("one CTA per SM", memory(4, 4), gpu_config(4), 0xC0FFEE),
+            ("16 SMs, one straggler", memory(4, 17), gpu_config(16), 5),
+            ("MSHR-bound, 4 SMs", memory(4, 8), with_sm(4, mshr_bound), 9),
+            ("MSHR-bound, 1 SM", memory(4, 4), with_sm(1, mshr_bound), 9),
+            (
+                "collector-bound, 4 SMs",
+                dense(4, 8),
+                with_sm(4, slow_mrf),
+                11,
+            ),
+            (
+                "collector-bound, 1 SM",
+                dense(4, 4),
+                with_sm(1, slow_mrf),
+                11,
+            ),
+            ("truncated dense, 4 SMs", dense(4, 8), with_sm(4, capped), 3),
+            ("truncated dense, 1 SM", dense(4, 4), with_sm(1, capped), 3),
+            (
+                "truncated asleep, 4 SMs",
+                memory(4, 8),
+                with_sm(4, capped),
+                3,
+            ),
+        ];
+        for (label, kernel, config, seed) in cases {
             let workload = SimWorkload::new(kernel).with_seed(seed);
-            let config = gpu_config(sm_count);
-            let fast = simulate_gpu_with(
-                &workload,
-                &config,
-                &mut regfiles(sm_count, &config.sm),
-                EngineKind::Fast,
+            let sm_count = config.sm_count;
+            let run = |kind| {
+                simulate_gpu_with(
+                    &workload,
+                    &config,
+                    &mut regfiles(sm_count, &config.sm),
+                    kind,
+                )
+            };
+            let fast = run(EngineKind::Fast);
+            assert_eq!(
+                fast,
+                run(EngineKind::Reference),
+                "{label}: engines diverged"
             );
-            let reference = simulate_gpu_with(
-                &workload,
-                &config,
-                &mut regfiles(sm_count, &config.sm),
-                EngineKind::Reference,
+            assert_eq!(
+                fast.truncated,
+                label.starts_with("truncated"),
+                "{label}: truncation"
             );
-            assert_eq!(fast, reference, "GPU engines diverged at {sm_count} SMs");
+            if label.starts_with("truncated dense") {
+                assert_eq!(fast.cycles, config.sm.max_cycles, "{label}: final cycle");
+            }
         }
+    }
+
+    /// The edge cases above are what they claim: the straggler SM hosts the
+    /// one extra CTA, and a two-entry MSHR file slows the kernel down.
+    #[test]
+    fn driver_edge_cases_bind() {
+        let plan = dispatch_ctas(4, 17, 16, 16);
+        assert_eq!(plan[0].ctas, 2);
+        assert!(plan[1..].iter().all(|a| a.ctas == 1));
+        let workload = SimWorkload::new(memory_kernel(4, 8)).with_seed(9);
+        let run = |config: &GpuConfig| {
+            simulate_gpu(&workload, config, &mut regfiles(4, &config.sm)).cycles
+        };
+        let mut bound = gpu_config(4);
+        bound.sm.memory.max_outstanding_requests = 2;
+        assert!(run(&bound) > run(&gpu_config(4)));
     }
 
     #[test]

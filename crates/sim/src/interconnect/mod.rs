@@ -21,15 +21,16 @@
 //!
 //! ## Determinism and skip-ahead
 //!
-//! The lock-step driver visits SMs in index order at every simulated cycle,
-//! so same-cycle requests reach the network in a fixed order and every link
+//! The lock-step driver steps the awake SMs in index order at every visited
+//! cycle, and an SM only reaches the network when it issues, so same-cycle
+//! requests reach the network in a fixed order and every link
 //! grant is a deterministic round-robin — simulations are bit-reproducible
 //! for a given seed and configuration. Network latency is folded into the
 //! completion cycle `MemoryHierarchy::access_global` returns at *issue*
 //! time, which becomes the issuing warp's stall/wakeup cycle; the fast
 //! engine's `next_event_after` horizon is computed from exactly those warp
-//! wakeups, so in-flight network occupancy bounds skip-ahead with no extra
-//! bookkeeping.
+//! wakeups (and, for warps refused an MSHR, the same completion cycles), so
+//! in-flight network occupancy bounds skip-ahead with no extra bookkeeping.
 
 pub mod addrdec;
 pub mod link;

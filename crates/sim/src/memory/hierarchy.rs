@@ -243,6 +243,17 @@ impl MemoryHierarchy {
         self.outstanding.len() < self.config.max_outstanding_requests
     }
 
+    /// The earliest completion of an outstanding request after `now`: the
+    /// first cycle at which a full MSHR file can accept again.
+    #[must_use]
+    pub fn next_completion_after(&self, now: Cycle) -> Option<Cycle> {
+        self.outstanding
+            .iter()
+            .copied()
+            .filter(|&done| done > now)
+            .min()
+    }
+
     /// Issues a global-memory access (load or store) for `address` at `now`
     /// and returns its completion cycle.
     ///

@@ -18,7 +18,13 @@ pub struct SimStats {
     pub warps_completed: usize,
     /// Number of warps that were resident on the SM.
     pub warps_resident: usize,
-    /// Cycles in which no instruction could be issued.
+    /// Idle visits: cycles the skip-ahead schedule visited (in lock-step,
+    /// the cycles the whole GPU visited while this SM was unfinished) at
+    /// which this SM issued nothing. The schedule visits every cycle while
+    /// a ready warp waits on an operand collector or an MSHR, but jumps over
+    /// stretches in which every warp waits on a known event, and cycles it
+    /// jumps over are not counted. This is therefore not the number of
+    /// cycles without an issue, which can be several times larger.
     pub idle_cycles: Cycle,
     /// Cycles warps spent stalled on PREFETCH operations (LTRF designs).
     pub prefetch_stall_cycles: Cycle,
@@ -46,7 +52,8 @@ impl SimStats {
         }
     }
 
-    /// Fraction of cycles with no issue.
+    /// Idle visits per simulated cycle (`idle_cycles / cycles`). Not the
+    /// fraction of cycles without an issue; see [`Self::idle_cycles`].
     #[must_use]
     pub fn idle_fraction(&self) -> f64 {
         if self.cycles == 0 {

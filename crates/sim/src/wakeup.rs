@@ -99,6 +99,13 @@ impl WakeupQueue {
         }
     }
 
+    /// Whether a warp drained by the last [`Self::next_wake_after`] or
+    /// [`Self::pop_eligible`] waits for admission.
+    #[must_use]
+    pub fn has_eligible(&self) -> bool {
+        !self.eligible.is_empty()
+    }
+
     /// The earliest wakeup cycle strictly after `now`, or `None` if no
     /// scheduled warp wakes later than `now`.
     ///
