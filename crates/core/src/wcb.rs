@@ -63,17 +63,14 @@ impl WarpControlBlock {
         self.bank_of[reg.index()].take()
     }
 
-    /// Removes every mapping, returning the freed banks. Used when a warp is
-    /// deactivated and releases its register-cache slots.
-    pub fn unmap_all(&mut self) -> Vec<u8> {
-        let mut freed = Vec::new();
-        for slot in self.bank_of.iter_mut() {
-            if let Some(bank) = slot.take() {
-                freed.push(bank);
-            }
+    /// Removes every mapping. Used when a warp is deactivated and releases
+    /// its register-cache slots. Only the mapped registers are visited: a
+    /// register has a bank exactly when its valid bit is set.
+    pub fn unmap_all(&mut self) {
+        for reg in self.working_set.iter() {
+            self.bank_of[reg.index()] = None;
         }
         self.working_set.clear();
-        freed
     }
 
     /// Registers currently mapped into the cache.
@@ -202,10 +199,16 @@ mod tests {
         wcb.map_register(r(0), 0);
         wcb.map_register(r(1), 1);
         wcb.map_register(r(9), 2);
-        let mut freed = wcb.unmap_all();
-        freed.sort_unstable();
-        assert_eq!(freed, vec![0, 1, 2]);
+        wcb.unmap_all();
         assert!(wcb.cached_registers().is_empty());
+        for reg in [0, 1, 9] {
+            assert_eq!(wcb.bank_of(r(reg)), None);
+            assert!(!wcb.is_cached(r(reg)));
+        }
+        // The emptied WCB maps again from scratch.
+        wcb.map_register(r(9), 4);
+        assert_eq!(wcb.bank_of(r(9)), Some(4));
+        assert_eq!(wcb.cached_registers().len(), 1);
     }
 
     #[test]

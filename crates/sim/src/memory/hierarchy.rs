@@ -246,7 +246,7 @@ impl MemoryHierarchy {
     /// The earliest completion of an outstanding request after `now`: the
     /// first cycle at which a full MSHR file can accept again.
     #[must_use]
-    pub fn next_completion_after(&self, now: Cycle) -> Option<Cycle> {
+    pub(crate) fn next_completion_after(&self, now: Cycle) -> Option<Cycle> {
         self.outstanding
             .iter()
             .copied()

@@ -102,7 +102,7 @@ impl WakeupQueue {
     /// Whether a warp drained by the last [`Self::next_wake_after`] or
     /// [`Self::pop_eligible`] waits for admission.
     #[must_use]
-    pub fn has_eligible(&self) -> bool {
+    pub(crate) fn has_eligible(&self) -> bool {
         !self.eligible.is_empty()
     }
 

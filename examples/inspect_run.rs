@@ -73,7 +73,7 @@ fn print_one(label: &str, result: &ltrf::core::RunResult) {
         s.truncated
     );
     println!(
-        "  idle fraction {:.2}  prefetch stall cycles {}  warp activations {}",
+        "  idle visits/cycle {:.2}  prefetch stall cycles {}  warp activations {}",
         s.idle_fraction(),
         s.prefetch_stall_cycles,
         s.warp_activations
