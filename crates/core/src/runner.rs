@@ -166,6 +166,22 @@ impl ExperimentConfig {
         self.cache_key_value().to_json()
     }
 
+    /// The baseline reference this experiment is normalized against: the
+    /// conventional register file on configuration #1, with the 16 KB cache
+    /// capacity folded into the main register file, at the same SM count
+    /// and under the same power-model calibration. Sharing the calibration
+    /// makes a `sweep power` recalibration move the numerator and the
+    /// denominator together; sharing the SM count makes a multi-SM point
+    /// compare against a baseline contending for the same shared memory.
+    /// Nothing else of `self` enters it, which is what lets `ltrf-sweep`
+    /// share one reference run among many normalized points.
+    #[must_use]
+    pub fn baseline_config(&self) -> ExperimentConfig {
+        ExperimentConfig::new(Organization::Baseline)
+            .with_sm_count(self.sm_count.max(1))
+            .with_power_params(self.power)
+    }
+
     /// Builds the per-SM simulator configuration for this experiment.
     #[must_use]
     pub fn sm_config(&self) -> SmConfig {
@@ -409,43 +425,6 @@ fn finish_run(
     }
 }
 
-/// Runs the reference baseline the paper normalizes against: the conventional
-/// register file on configuration #1 with the 16 KB cache capacity folded
-/// into the main register file, simulated at the same SM count as the
-/// experiment being normalized.
-///
-/// # Errors
-///
-/// Never fails in practice (the baseline needs no compilation); the result is
-/// a `Result` for uniformity with [`run_experiment`].
-pub fn run_baseline_reference(
-    kernel: &Kernel,
-    memory: MemoryBehavior,
-    seed: u64,
-) -> Result<RunResult, CoreError> {
-    run_baseline_reference_at(kernel, memory, seed, 1)
-}
-
-/// [`run_baseline_reference`] at an explicit SM count (multi-SM experiments
-/// normalize against a baseline contending for the same shared memory).
-///
-/// # Errors
-///
-/// See [`run_baseline_reference`].
-pub fn run_baseline_reference_at(
-    kernel: &Kernel,
-    memory: MemoryBehavior,
-    seed: u64,
-    sm_count: usize,
-) -> Result<RunResult, CoreError> {
-    run_experiment(
-        kernel,
-        memory,
-        seed,
-        &ExperimentConfig::new(Organization::Baseline).with_sm_count(sm_count),
-    )
-}
-
 /// A pair of runs: an organization and the baseline it is normalized to.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NormalizedResult {
@@ -457,8 +436,54 @@ pub struct NormalizedResult {
     pub normalized_power: f64,
 }
 
+/// The two figures of a baseline reference run that normalization divides
+/// by. A campaign that normalizes many points against one reference can
+/// simulate it once and keep only this.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BaselineReference {
+    /// The reference run's IPC.
+    pub ipc: f64,
+    /// The reference run's average register-file power, in mW.
+    pub average_power_mw: f64,
+}
+
+impl BaselineReference {
+    /// The normalization figures of a run of [`ExperimentConfig::baseline_config`].
+    #[must_use]
+    pub fn of(run: &RunResult) -> Self {
+        BaselineReference {
+            ipc: run.ipc,
+            average_power_mw: run.power.average_power_mw,
+        }
+    }
+
+    /// Normalizes `result` against this reference. A non-positive reference
+    /// figure yields a normalized value of zero rather than a division by
+    /// zero.
+    #[must_use]
+    pub fn normalize(&self, result: RunResult) -> NormalizedResult {
+        let normalized_ipc = if self.ipc > 0.0 {
+            result.ipc / self.ipc
+        } else {
+            0.0
+        };
+        let normalized_power = if self.average_power_mw > 0.0 {
+            result.power.average_power_mw / self.average_power_mw
+        } else {
+            0.0
+        };
+        NormalizedResult {
+            result,
+            normalized_ipc,
+            normalized_power,
+        }
+    }
+}
+
 /// Runs `config` and normalizes it against the baseline reference on the same
-/// kernel, memory behaviour, and seed.
+/// kernel, memory behaviour, and seed: [`ExperimentConfig::baseline_config`]
+/// run and reduced to a [`BaselineReference`], then
+/// [`BaselineReference::normalize`] applied to the run of `config`.
 ///
 /// # Errors
 ///
@@ -469,33 +494,9 @@ pub fn run_normalized(
     seed: u64,
     config: &ExperimentConfig,
 ) -> Result<NormalizedResult, CoreError> {
-    // The reference runs at the same SM count *and* under the same
-    // power-model calibration, so a `sweep power` recalibration moves the
-    // numerator and the denominator together.
-    let baseline = run_experiment(
-        kernel,
-        memory,
-        seed,
-        &ExperimentConfig::new(Organization::Baseline)
-            .with_sm_count(config.sm_count.max(1))
-            .with_power_params(config.power),
-    )?;
+    let baseline = run_experiment(kernel, memory, seed, &config.baseline_config())?;
     let result = run_experiment(kernel, memory, seed, config)?;
-    let normalized_ipc = if baseline.ipc > 0.0 {
-        result.ipc / baseline.ipc
-    } else {
-        0.0
-    };
-    let normalized_power = if baseline.power.average_power_mw > 0.0 {
-        result.power.average_power_mw / baseline.power.average_power_mw
-    } else {
-        0.0
-    };
-    Ok(NormalizedResult {
-        result,
-        normalized_ipc,
-        normalized_power,
-    })
+    Ok(BaselineReference::of(&baseline).normalize(result))
 }
 
 #[cfg(test)]
@@ -759,6 +760,49 @@ mod tests {
         .unwrap();
         assert!(normalized.normalized_ipc > 0.0);
         assert!(normalized.normalized_power > 0.0);
+    }
+
+    /// One baseline run, reduced to a [`BaselineReference`] and shared by
+    /// several organizations, normalizes each of them bit for bit as
+    /// [`run_normalized`] does — at one and four SMs, under a non-default
+    /// power calibration.
+    #[test]
+    fn shared_baseline_reference_matches_run_normalized() {
+        let kernel = test_kernel();
+        let memory = MemoryBehavior::cache_resident();
+        let power = ltrf_tech::PowerParams {
+            base_access_pj: 75.0,
+            base_leakage_mw_per_kb: 0.3,
+            dwm_write_penalty: 2.0,
+        };
+        for sm_count in [1, 4] {
+            let configs = [Organization::Baseline, Organization::Ltrf].map(|org| {
+                ExperimentConfig::for_table2(org, 7)
+                    .with_sm_count(sm_count)
+                    .with_power_params(power)
+            });
+            let baseline_config = configs[0].baseline_config();
+            assert_eq!(baseline_config, configs[1].baseline_config());
+            assert_eq!(baseline_config.power, power);
+            assert_eq!(baseline_config.sm_count, sm_count);
+            let reference = BaselineReference::of(
+                &run_experiment(&kernel, memory, 11, &baseline_config).unwrap(),
+            );
+            for config in &configs {
+                let composed =
+                    reference.normalize(run_experiment(&kernel, memory, 11, config).unwrap());
+                let direct = run_normalized(&kernel, memory, 11, config).unwrap();
+                assert_eq!(composed.result, direct.result);
+                assert_eq!(
+                    composed.normalized_ipc.to_bits(),
+                    direct.normalized_ipc.to_bits()
+                );
+                assert_eq!(
+                    composed.normalized_power.to_bits(),
+                    direct.normalized_power.to_bits()
+                );
+            }
+        }
     }
 
     #[test]

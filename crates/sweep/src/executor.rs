@@ -3,7 +3,7 @@
 //! [`CampaignSession`] takes a [`SweepSpec`] and evaluates every point
 //! across all cores: workers claim points from a shared queue (so uneven
 //! point costs balance out), each point runs under panic isolation,
-//! per-point seeds follow the spec's [`SeedMode`](crate::SeedMode), and —
+//! per-point seeds follow the spec's [`SeedMode`], and —
 //! when a cache is attached — outcomes are served from and stored to the
 //! content-addressed [`ResultCache`]. While the session runs it emits a
 //! typed [`CampaignEvent`] stream to a [`CampaignObserver`] (the `sweep`
@@ -26,19 +26,20 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use serde::{Deserialize, Serialize, Value};
 
-use ltrf_core::{run_experiment, run_normalized, RunResult};
+use ltrf_core::{run_experiment, BaselineReference, CoreError, ExperimentConfig, RunResult};
 use ltrf_workloads::{evaluated_suite, Workload};
 
 use crate::cache::{point_key, PointKey, ResultCache};
+use crate::hash::sha256;
 use crate::journal::{CampaignJournal, JournalSnapshot};
 use crate::pool::{panic_message, parallel_map};
-use crate::spec::{SweepPoint, SweepSpec};
+use crate::spec::{SeedMode, SweepPoint, SweepSpec};
 
 /// The data produced by a successfully evaluated point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -187,23 +188,11 @@ pub struct PointMeans {
     pub noc_latency: f64,
 }
 
-impl PointMeans {
-    /// Averages the given points; `None` when the iterator is empty.
-    pub fn over<'a>(points: impl IntoIterator<Item = &'a PointData>) -> Option<Self> {
-        let mut acc = PointMeansAcc::default();
-        for data in points {
-            acc.push(data);
-        }
-        acc.finish()
-    }
-}
-
 /// The online fold behind [`PointMeans`]: push successful points one at a
 /// time, then [`finish`](PointMeansAcc::finish) into the means. This is what
 /// the streaming aggregation path ([`crate::stream::RunningAggregates`])
 /// folds `PointFinished` records into, so summary statistics never require
-/// the full row set in memory; [`PointMeans::over`] is this fold applied to
-/// an iterator, so the batch and streaming paths cannot drift.
+/// the full row set in memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PointMeansAcc {
     count: usize,
@@ -790,7 +779,8 @@ impl<'a> CampaignSession<'a> {
         observer: &dyn CampaignObserver,
         sink: &dyn RecordSink,
     ) -> (SweepResults, CampaignTotals) {
-        let (records, totals) = self.run_inner(observer, sink, true);
+        let memo = BaselineMemo::for_spec(self.spec);
+        let (records, totals) = self.run_inner(observer, sink, true, memo.as_ref());
         (
             SweepResults {
                 name: self.spec.name.clone(),
@@ -813,14 +803,19 @@ impl<'a> CampaignSession<'a> {
         observer: &dyn CampaignObserver,
         sink: &dyn RecordSink,
     ) -> CampaignTotals {
-        self.run_inner(observer, sink, false).1
+        let memo = BaselineMemo::for_spec(self.spec);
+        self.run_inner(observer, sink, false, memo.as_ref()).1
     }
 
+    /// The session body. `memo` shares baseline references among the
+    /// normalized points (see [`BaselineMemo`]); `None` simulates each
+    /// point's own.
     fn run_inner(
         &self,
         observer: &dyn CampaignObserver,
         sink: &dyn RecordSink,
         retain: bool,
+        memo: Option<&BaselineMemo>,
     ) -> (Vec<PointRecord>, CampaignTotals) {
         let spec = self.spec;
         let options = self.options;
@@ -880,6 +875,9 @@ impl<'a> CampaignSession<'a> {
                 workload: point.workload.clone(),
                 organization: point.config.organization.label(),
             });
+            // Every point takes a lease, cache hits included: the memo's
+            // eviction rule counts the points that have started.
+            let baseline = memo.map(|memo| memo.lease(index));
             let key = point_key(spec, point);
 
             // Resume path: a point the journal recorded as completed — and
@@ -976,7 +974,13 @@ impl<'a> CampaignSession<'a> {
                                     outcome
                                 }
                                 None => {
-                                    let outcome = evaluate_point(spec, point, &suite, key.seed);
+                                    let outcome = evaluate_point(
+                                        spec,
+                                        point,
+                                        &suite,
+                                        key.seed,
+                                        baseline.as_ref(),
+                                    );
                                     // Only successes are cached: failures may
                                     // be transient (and must stay visible on
                                     // every run until fixed).
@@ -1169,6 +1173,186 @@ fn make_record(
     }
 }
 
+/// The baseline references of one session's normalized points, each
+/// simulated once and shared by every point that needs it.
+///
+/// A point's baseline depends only on its workload, memory selection and
+/// seed and on [`ExperimentConfig::baseline_config`] (SM count and power
+/// calibration), never on its organization or design point. Entries are
+/// keyed by the SHA-256 of exactly that identity and hold only the two
+/// figures normalization divides by, in a [`OnceLock`]: a second worker
+/// that needs a baseline being simulated waits for it, and a panicking
+/// simulation leaves the slot empty for the next point to retry.
+///
+/// Memory is bounded by the work in flight. An entry is dropped once no
+/// in-flight point holds it and either every point has started, or a point
+/// of a different workload with a higher index has started and so has every
+/// point before it (builder specs are workload-major, so the entry's block
+/// is over). Hand-built specs that interleave workloads may then simulate a
+/// baseline again; results never depend on point order.
+#[derive(Debug)]
+struct BaselineMemo<'a> {
+    points: &'a [SweepPoint],
+    seed: u64,
+    state: Mutex<MemoState>,
+    /// Baseline simulations run through the memo.
+    simulated: AtomicUsize,
+}
+
+type BaselineSlot = Arc<OnceLock<Result<BaselineReference, CoreError>>>;
+
+#[derive(Debug, Default)]
+struct MemoState {
+    entries: HashMap<[u8; 32], MemoEntry>,
+    /// Points that have taken a lease.
+    started: usize,
+    /// The highest index of a point that has taken a lease.
+    latest: usize,
+}
+
+#[derive(Debug)]
+struct MemoEntry {
+    slot: BaselineSlot,
+    /// In-flight points holding a lease on this entry.
+    users: usize,
+    /// The highest index of a point that leased this entry.
+    last: usize,
+}
+
+impl<'a> BaselineMemo<'a> {
+    /// The memo for `spec`: `None` unless its points are normalized under a
+    /// fixed seed (per-point seeds make every baseline distinct).
+    fn for_spec(spec: &'a SweepSpec) -> Option<Self> {
+        match (spec.normalize, spec.seed_mode) {
+            (true, SeedMode::Fixed(seed)) => Some(BaselineMemo {
+                points: &spec.points,
+                seed,
+                state: Mutex::new(MemoState::default()),
+                simulated: AtomicUsize::new(0),
+            }),
+            _ => None,
+        }
+    }
+
+    /// The digest of the baseline run `points[index]` normalizes against.
+    fn key(&self, index: usize) -> [u8; 32] {
+        let point = &self.points[index];
+        let mut fields = vec![
+            ("workload".to_string(), Value::Str(point.workload.clone())),
+            ("memory".to_string(), Serialize::to_value(&point.memory)),
+            ("seed".to_string(), Value::UInt(self.seed)),
+            // The two fields `ExperimentConfig::baseline_config` reads.
+            (
+                "sm_count".to_string(),
+                Value::UInt(point.config.sm_count.max(1) as u64),
+            ),
+            (
+                "power".to_string(),
+                Serialize::to_value(&point.config.power),
+            ),
+        ];
+        if let Some(generated) = &point.generated {
+            fields.push(("generated".to_string(), Serialize::to_value(generated)));
+        }
+        if let Some(trace) = &point.trace {
+            fields.push(("trace".to_string(), Serialize::to_value(trace)));
+        }
+        sha256(Value::Object(fields).to_json().as_bytes())
+    }
+
+    /// Registers point `index` as a user of its baseline until the lease
+    /// drops.
+    fn lease(&self, index: usize) -> BaselineLease<'_, 'a> {
+        let key = self.key(index);
+        let mut state = self.state();
+        let opened = !state.entries.contains_key(&key);
+        state.started += 1;
+        state.latest = state.latest.max(index);
+        let entry = state.entries.entry(key).or_insert_with(|| MemoEntry {
+            slot: Arc::default(),
+            users: 0,
+            last: index,
+        });
+        entry.users += 1;
+        entry.last = entry.last.max(index);
+        let slot = Arc::clone(&entry.slot);
+        self.evict(&mut state);
+        BaselineLease {
+            memo: self,
+            key,
+            slot,
+            opened,
+        }
+    }
+
+    /// The memo's state. Nothing panics while holding the lock, but a lease
+    /// dropped during an unwind must not turn a poisoned lock into a second
+    /// panic.
+    fn state(&self) -> MutexGuard<'_, MemoState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Drops every entry no in-flight or later point can use. Points are
+    /// claimed in index order, so once every point up to the latest has
+    /// leased, an idle entry whose last user lies below the latest and
+    /// belongs to another workload has no user left to come.
+    fn evict(&self, state: &mut MemoState) {
+        let settled = state.started == state.latest + 1;
+        let all_started = state.started == self.points.len();
+        let latest = &self.points[state.latest];
+        state.entries.retain(|_, entry| {
+            let last = &self.points[entry.last];
+            let block_over = settled
+                && entry.last < state.latest
+                && (last.workload != latest.workload
+                    || last.generated != latest.generated
+                    || last.trace != latest.trace);
+            entry.users > 0 || !(all_started || block_over)
+        });
+    }
+
+    /// Entries currently held.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.state().entries.len()
+    }
+}
+
+/// One in-flight point's hold on its memoized baseline.
+#[derive(Debug)]
+struct BaselineLease<'m, 'a> {
+    memo: &'m BaselineMemo<'a>,
+    key: [u8; 32],
+    slot: BaselineSlot,
+    /// Whether this lease created the entry.
+    opened: bool,
+}
+
+impl BaselineLease<'_, '_> {
+    /// The shared baseline, simulated by `simulate` if no point has yet.
+    fn get_or_simulate(
+        &self,
+        simulate: impl FnOnce() -> Result<BaselineReference, CoreError>,
+    ) -> Result<BaselineReference, CoreError> {
+        self.slot
+            .get_or_init(|| {
+                self.memo.simulated.fetch_add(1, Ordering::Relaxed);
+                simulate()
+            })
+            .clone()
+    }
+}
+
+impl Drop for BaselineLease<'_, '_> {
+    fn drop(&mut self) {
+        let mut state = self.memo.state();
+        if let Some(entry) = state.entries.get_mut(&self.key) {
+            entry.users -= 1;
+        }
+        self.memo.evict(&mut state);
+    }
+}
+
 /// Evaluates one point, converting panics into [`PointOutcome::Panicked`].
 ///
 /// Suite points resolve their workload by name against the evaluated suite;
@@ -1180,12 +1364,15 @@ fn make_record(
 /// edited, or malformed trace file becomes a typed per-point error, not a
 /// campaign failure). Everything downstream — the runner, normalization
 /// against the baseline at the same SM count, and power reporting — is
-/// identical for all three.
+/// identical for all three. A normalized point with a `baseline` lease takes
+/// its reference from the session's [`BaselineMemo`]; without one it
+/// simulates its own, exactly as [`ltrf_core::run_normalized`] does.
 fn evaluate_point(
     spec: &SweepSpec,
     point: &SweepPoint,
     suite: &HashMap<&str, Workload>,
     seed: u64,
+    baseline: Option<&BaselineLease>,
 ) -> PointOutcome {
     let traced = match point
         .trace
@@ -1210,19 +1397,41 @@ fn evaluate_point(
     };
     let memory = point.memory.behavior(workload);
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if spec.normalize {
-            run_normalized(&workload.kernel, memory, seed, &point.config).map(|n| PointData {
-                result: n.result,
-                normalized_ipc: Some(n.normalized_ipc),
-                normalized_power: Some(n.normalized_power),
-            })
-        } else {
-            run_experiment(&workload.kernel, memory, seed, &point.config).map(|r| PointData {
+        let experiment =
+            |config: &ExperimentConfig| run_experiment(&workload.kernel, memory, seed, config);
+        if !spec.normalize {
+            return experiment(&point.config).map(|r| PointData {
                 result: r,
                 normalized_ipc: None,
                 normalized_power: None,
-            })
+            });
         }
+        let simulate =
+            || experiment(&point.config.baseline_config()).map(|b| BaselineReference::of(&b));
+        let reference = || match baseline {
+            Some(lease) => lease.get_or_simulate(simulate),
+            None => simulate(),
+        };
+        // The point that opened a memo entry simulates the reference first;
+        // later points run their own configuration first, so the reference
+        // is usually ready when they take it and a second worker seldom
+        // idles on one in flight. Either way a reference error takes
+        // precedence, as in `run_normalized`.
+        let (reference, result) = if baseline.is_none_or(|lease| lease.opened) {
+            let reference = reference()?;
+            (reference, experiment(&point.config))
+        } else {
+            let result = experiment(&point.config);
+            (reference()?, result)
+        };
+        result.map(|r| {
+            let n = reference.normalize(r);
+            PointData {
+                result: n.result,
+                normalized_ipc: Some(n.normalized_ipc),
+                normalized_power: Some(n.normalized_power),
+            }
+        })
     }));
     match run {
         Ok(Ok(data)) => PointOutcome::Ok(data),
@@ -1287,11 +1496,59 @@ mod tests {
         assert_eq!(totals.hit_rate, 0.0);
     }
 
-    /// `PointMeans::over` is the [`PointMeansAcc`] fold applied to an
-    /// iterator; the degenerate cases must agree.
+    /// A 200-member generated population (BL and LTRF per member) streamed
+    /// on two threads simulates each member's baseline once, and the memo
+    /// holds nothing once the session ends. `run_inner` without retained
+    /// records is `run_streaming` with the memo in the test's hands.
+    #[test]
+    fn baseline_memo_simulates_each_reference_once_and_ends_empty() {
+        use crate::campaigns::{gen_campaign_spec, GenCampaignParams};
+        use ltrf_workloads::GeneratorConfig;
+
+        let spec = gen_campaign_spec(&GenCampaignParams {
+            population: 200,
+            config: GeneratorConfig {
+                min_regs: 8,
+                max_regs: 16,
+                max_outer_trips: 1,
+                max_inner_trips: 2,
+                max_body_alu: 2,
+                max_body_loads: 1,
+            },
+            ..GenCampaignParams::default()
+        });
+        assert_eq!(spec.points.len(), 400);
+        let memo = BaselineMemo::for_spec(&spec).expect("normalized under a fixed seed");
+        let options = ExecutorOptions {
+            threads: Some(2),
+            ..ExecutorOptions::default()
+        };
+        let (_, totals) =
+            CampaignSession::new(&spec, &options).run_inner(&Unobserved, &(), false, Some(&memo));
+        assert_eq!(totals.points, 400);
+        assert_eq!(totals.failed, 0);
+        assert_eq!(memo.simulated.load(Ordering::Relaxed), 200);
+        assert_eq!(memo.len(), 0, "no entry outlives the session's points");
+    }
+
+    /// Per-point seeds make every baseline distinct, and unnormalized specs
+    /// have none: neither gets a memo.
+    #[test]
+    fn baseline_memo_only_serves_normalized_fixed_seed_specs() {
+        let spec = |seed_mode, normalize| SweepSpec {
+            name: "memo".to_string(),
+            points: Vec::new(),
+            seed_mode,
+            normalize,
+        };
+        assert!(BaselineMemo::for_spec(&spec(SeedMode::Fixed(1), true)).is_some());
+        assert!(BaselineMemo::for_spec(&spec(SeedMode::PerPoint(1), true)).is_none());
+        assert!(BaselineMemo::for_spec(&spec(SeedMode::Fixed(1), false)).is_none());
+    }
+
+    /// An empty [`PointMeansAcc`] has no means and counts nothing.
     #[test]
     fn point_means_acc_matches_over_on_empty() {
-        assert_eq!(PointMeans::over(std::iter::empty()), None);
         assert_eq!(PointMeansAcc::default().finish(), None);
         assert_eq!(PointMeansAcc::default().count(), 0);
     }

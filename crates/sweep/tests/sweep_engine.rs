@@ -219,3 +219,91 @@ fn failures_are_not_cached() {
     assert!(!warm.records[0].from_cache);
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
+
+/// Normalized points share baseline references within a session. On a
+/// hand-built spec whose points interleave two workloads (so a workload's
+/// references are dropped and simulated again when it comes back) and mix
+/// SM counts and memory selections within each workload's run of points
+/// (so distinct references coexist), every record must still equal
+/// `ltrf_core::run_normalized` on its own point, under fixed and per-point
+/// seeds, on one and two threads.
+#[test]
+fn shared_baselines_match_per_point_normalization() {
+    use ltrf_core::{run_normalized, ExperimentConfig};
+    use ltrf_sweep::MemorySelection;
+
+    let mut points = Vec::new();
+    for config_id in [6, 7] {
+        for workload in ["hotspot", "btree"] {
+            for (sm_count, memory) in [
+                (1, MemorySelection::WorkloadDefault),
+                (2, MemorySelection::WorkloadDefault),
+                (1, MemorySelection::Streaming),
+            ] {
+                for org in [Organization::Baseline, Organization::Ltrf] {
+                    points.push(SweepPoint {
+                        workload: workload.to_string(),
+                        generated: None,
+                        trace: None,
+                        memory,
+                        config: ExperimentConfig::for_table2(org, config_id)
+                            .with_sm_count(sm_count),
+                    });
+                }
+            }
+        }
+    }
+    let suite = ltrf_workloads::evaluated_suite();
+    for seed_mode in [SeedMode::Fixed(2018), SeedMode::PerPoint(2018)] {
+        let spec = SweepSpec {
+            name: "interleaved-normalized".to_string(),
+            seed_mode,
+            normalize: true,
+            points: points.clone(),
+        };
+        let mut expected = Vec::new();
+        for threads in [1, 2] {
+            let options = ExecutorOptions {
+                threads: Some(threads),
+                ..ExecutorOptions::default()
+            };
+            let results = run_sweep(&spec, &options);
+            assert_eq!(results.failure_count(), 0);
+            if expected.is_empty() {
+                expected = results
+                    .records
+                    .iter()
+                    .map(|record| {
+                        let point = &record.point;
+                        let workload = suite
+                            .iter()
+                            .find(|w| w.name() == point.workload)
+                            .expect("suite workload");
+                        run_normalized(
+                            &workload.kernel,
+                            point.memory.behavior(workload),
+                            record.seed,
+                            &point.config,
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+            }
+            for (record, expected) in results.records.iter().zip(&expected) {
+                let data = record.outcome.data().expect("point succeeded");
+                let context = format!("{seed_mode:?}, {threads} threads, {:?}", record.point);
+                assert_eq!(data.result, expected.result, "{context}");
+                assert_eq!(
+                    data.normalized_ipc.map(f64::to_bits),
+                    Some(expected.normalized_ipc.to_bits()),
+                    "{context}"
+                );
+                assert_eq!(
+                    data.normalized_power.map(f64::to_bits),
+                    Some(expected.normalized_power.to_bits()),
+                    "{context}"
+                );
+            }
+        }
+    }
+}
